@@ -53,9 +53,16 @@ GAUGE_GATES = {
         "bar; ~7x measured on the reference host)"),
     "stencils.bench.bit_exact": (
         "min", 1.0,
-        "every pw::stencil registry kernel's fused-engine run must stay "
-        "bit-identical to its scalar reference (1.0 = all kernels exact; "
-        "any divergence zeroes the gauge)"),
+        "every single-thread pw::stencil engine's runs of every registry "
+        "kernel must stay bit-identical to its scalar reference (1.0 = all "
+        "exact; any divergence zeroes the gauge)"),
+    "stencils.bench.max_engine_over_reference": (
+        "max", 1.5,
+        "no single-thread pw::stencil engine (fused, chunked host, "
+        "lane-batched) may take more than 1.5x the reference engine's median "
+        "time on any registry kernel: all engines share one raw-row pass, so "
+        "a ratio above that means an engine emulates the shift buffer "
+        "value by value again (such a walk takes 2-10x the reference)"),
     "scaleout.bench.bit_exact": (
         "min", 1.0,
         "the sharded multi-device solve must stay bit-identical to the "

@@ -15,10 +15,12 @@
 #   3b2. stencil bench gate    bench/stencil_kernels -> BENCH_stencils.json:
 #                              every pw::stencil registry kernel modelled
 #                              through its spec-derived perf entry and
-#                              measured on the fused engine; the
+#                              measured on every single-thread engine; the
 #                              stencils.bench.bit_exact gauge (1.0 = every
-#                              kernel bit-matched its scalar reference) is
-#                              budget-gated by scripts/check_bench_json.py
+#                              run bit-matched its scalar reference) and
+#                              stencils.bench.max_engine_over_reference
+#                              (< 1.5) are gated by
+#                              scripts/check_bench_json.py
 #   3b3. scale-out bench gate  bench/future_scaleout -> BENCH_scaleout.json:
 #                              measured weak/strong scaling of real sharded
 #                              solves over simulated devices (pw::shard);

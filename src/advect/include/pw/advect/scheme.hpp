@@ -48,14 +48,18 @@ using ZCoeffs = ZCoeffsT<double>;
 // at a given precision is bit-identical by construction (the property the
 // functional tests assert).
 //
+// `Stencils` is a CellStencilsT<T> or anything else with the same u/v/w
+// members and at(dx, dy, dz) reads, such as pw::stencil's in-place field
+// views.
+//
 // `top` marks the column-top cell: the U and V terms drop their tzc2
 // contribution there (paper Listing 1), reducing the per-cell FLOP count
 // from 63 to 55. W keeps its full form; its k+1 neighbour reads the zeroed
 // above-lid halo.
 
 /// U source term: 21 FLOPs (17 at the column top).
-template <typename T>
-T advect_u_cell(const CellStencilsT<T>& s, T tcx, T tcy,
+template <typename T, typename Stencils>
+T advect_u_cell(const Stencils& s, T tcx, T tcy,
                 const ZCoeffsT<T>& z, bool top) {
   const auto& u = s.u;
   const auto& v = s.v;
@@ -74,8 +78,8 @@ T advect_u_cell(const CellStencilsT<T>& s, T tcx, T tcy,
 }
 
 /// V source term: 21 FLOPs (17 at the column top).
-template <typename T>
-T advect_v_cell(const CellStencilsT<T>& s, T tcx, T tcy,
+template <typename T, typename Stencils>
+T advect_v_cell(const Stencils& s, T tcx, T tcy,
                 const ZCoeffsT<T>& z, bool top) {
   const auto& u = s.u;
   const auto& v = s.v;
@@ -94,8 +98,8 @@ T advect_v_cell(const CellStencilsT<T>& s, T tcx, T tcy,
 }
 
 /// W source term: 21 FLOPs at every level (above-lid neighbours are zero).
-template <typename T>
-T advect_w_cell(const CellStencilsT<T>& s, T tcx, T tcy,
+template <typename T, typename Stencils>
+T advect_w_cell(const Stencils& s, T tcx, T tcy,
                 const ZCoeffsT<T>& z) {
   const auto& u = s.u;
   const auto& v = s.v;
@@ -119,8 +123,8 @@ struct CellSourcesT {
 };
 using CellSources = CellSourcesT<double>;
 
-template <typename T>
-CellSourcesT<T> advect_cell(const CellStencilsT<T>& s, T tcx, T tcy,
+template <typename T, typename Stencils>
+CellSourcesT<T> advect_cell(const Stencils& s, T tcx, T tcy,
                             const ZCoeffsT<T>& z, bool top) {
   return {advect_u_cell(s, tcx, tcy, z, top),
           advect_v_cell(s, tcx, tcy, z, top), advect_w_cell(s, tcx, tcy, z)};

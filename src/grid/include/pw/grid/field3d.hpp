@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -39,6 +40,16 @@ public:
   std::size_t cells() const noexcept { return dims_.cells(); }
   std::size_t bytes_interior() const noexcept { return cells() * sizeof(T); }
 
+  /// Element distance between neighbours in i and in j (k is contiguous),
+  /// so `&at(i, j, k) + di * stride_i() + dj * stride_j() + dk` addresses
+  /// `at(i + di, j + dj, k + dk)`.
+  std::ptrdiff_t stride_i() const noexcept {
+    return static_cast<std::ptrdiff_t>(stride_i_);
+  }
+  std::ptrdiff_t stride_j() const noexcept {
+    return static_cast<std::ptrdiff_t>(stride_j_);
+  }
+
   /// Signed access including halos; i/j/k in [-halo, n+halo).
   T& at(std::ptrdiff_t i, std::ptrdiff_t j, std::ptrdiff_t k) {
     return data_[offset(i, j, k)];
@@ -71,7 +82,9 @@ public:
 
   void fill(T value) { data_.assign(data_.size(), value); }
 
-  /// Fills the six halo shells (not interior) with `value`.
+  /// Fills the six halo shells (not interior) with `value`, one z-row at a
+  /// time: whole rows outside the interior in i or j, the k ends of the
+  /// interior rows.
   void fill_halo(T value) {
     const auto h = static_cast<std::ptrdiff_t>(halo_);
     const auto nx = static_cast<std::ptrdiff_t>(dims_.nx);
@@ -79,13 +92,24 @@ public:
     const auto nz = static_cast<std::ptrdiff_t>(dims_.nz);
     for (std::ptrdiff_t i = -h; i < nx + h; ++i) {
       for (std::ptrdiff_t j = -h; j < ny + h; ++j) {
-        for (std::ptrdiff_t k = -h; k < nz + h; ++k) {
-          const bool interior =
-              i >= 0 && i < nx && j >= 0 && j < ny && k >= 0 && k < nz;
-          if (!interior) {
-            at(i, j, k) = value;
-          }
+        T* row = &at(i, j, -h);
+        if (i < 0 || i >= nx || j < 0 || j >= ny) {
+          std::fill_n(row, nz + 2 * h, value);
+        } else {
+          std::fill_n(row, h, value);
+          std::fill_n(row + h + nz, h, value);
         }
+      }
+    }
+  }
+
+  /// Copies `src`'s interior (same dims) into this field's, one z-row at a
+  /// time; the halos are left untouched.
+  void copy_interior_from(const Field3D& src) {
+    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(dims_.nx); ++i) {
+      for (std::ptrdiff_t j = 0; j < static_cast<std::ptrdiff_t>(dims_.ny);
+           ++j) {
+        std::copy_n(&src.at(i, j, 0), dims_.nz, &at(i, j, 0));
       }
     }
   }

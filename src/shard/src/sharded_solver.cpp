@@ -357,12 +357,15 @@ api::SolveResult ShardedSolver::run_partition(
                                 shard.out, op, engine);
               break;
             }
-            case api::Kernel::kPoissonJacobi:
-              stencil::run_poisson_sweep(
-                  shard.state,
-                  *options.kernel_spec.get_if<api::PoissonOptions>(),
-                  shard.out, engine);
+            case api::Kernel::kPoissonJacobi: {
+              // One sweep over the guess's halos exactly as exchanged; the
+              // updated guess lands in shard.out.su.
+              const stencil::PoissonOp op(
+                  *options.kernel_spec.get_if<api::PoissonOptions>());
+              stencil::run_pass(stencil::poisson_spec(), shard.state,
+                                shard.out, op, engine);
               break;
+            }
           }
         } catch (...) {
           errors[slot] = std::current_exception();
@@ -390,16 +393,7 @@ api::SolveResult ShardedSolver::run_partition(
       // The sweep's output becomes the next sweep's guess; its halo
       // refresh happens at the top of the next iteration's exchange.
       for (Shard& shard : shards) {
-        for (std::ptrdiff_t i = 0;
-             i < static_cast<std::ptrdiff_t>(shard.extent.nx()); ++i) {
-          for (std::ptrdiff_t j = 0;
-               j < static_cast<std::ptrdiff_t>(shard.extent.ny()); ++j) {
-            for (std::ptrdiff_t k = 0;
-                 k < static_cast<std::ptrdiff_t>(dims.nz); ++k) {
-              shard.state.u.at(i, j, k) = shard.out.su.at(i, j, k);
-            }
-          }
-        }
+        shard.state.u.copy_interior_from(shard.out.su);
       }
     }
   }

@@ -17,9 +17,9 @@ namespace pw::stencil {
 /// kernel.
 const StencilSpec& advect_spec();
 
-/// The advection per-cell op on the template: advect_cell with the
-/// per-level Z coefficients looked up from the cell's k (exactly what the
-/// fused kernel inlines).
+/// The advection per-cell op on the template: advect_cell read straight
+/// from the field views, with the per-level Z coefficients looked up from
+/// the cell's k (exactly what the fused kernel inlines).
 struct AdvectOp {
   const advect::PwCoefficients* c = nullptr;
   std::ptrdiff_t nz = 0;
@@ -27,12 +27,12 @@ struct AdvectOp {
   AdvectOp(const advect::PwCoefficients& coefficients, std::size_t levels)
       : c(&coefficients), nz(static_cast<std::ptrdiff_t>(levels)) {}
 
-  advect::CellSources operator()(const advect::CellStencils& s,
+  advect::CellSources operator()(const CellView& view,
                                  const CellCtx& cell) const {
     const auto gk = static_cast<std::size_t>(cell.k);
     const advect::ZCoeffs z{c->tzc1[gk], c->tzc2[gk], c->tzd1[gk],
                             c->tzd2[gk]};
-    return advect::advect_cell(s, c->tcx, c->tcy, z, cell.k == nz - 1);
+    return advect::advect_cell(view, c->tcx, c->tcy, z, cell.k == nz - 1);
   }
 };
 

@@ -40,16 +40,17 @@ struct DiffusionOp {
         cy(p.kappa / (p.dy * p.dy)),
         cz(p.kappa / (p.dz * p.dz)) {}
 
-  template <typename T>
-  T lap(const advect::Stencil27T<T>& s) const {
-    const T c = s.centre();
+  /// Over anything with Stencil27's at()/centre(): a FieldView in the
+  /// engines, the same expression over direct reads in the reference.
+  template <typename Neighbourhood>
+  double lap(const Neighbourhood& s) const {
+    const double c = s.centre();
     return cx * (s.at(-1, 0, 0) + s.at(+1, 0, 0) - 2.0 * c) +
            cy * (s.at(0, -1, 0) + s.at(0, +1, 0) - 2.0 * c) +
            cz * (s.at(0, 0, -1) + s.at(0, 0, +1) - 2.0 * c);
   }
 
-  advect::CellSources operator()(const advect::CellStencils& s,
-                                 const CellCtx&) const {
+  advect::CellSources operator()(const CellView& s, const CellCtx&) const {
     return {lap(s.u), lap(s.v), lap(s.w)};
   }
 };

@@ -1,43 +1,41 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <future>
-#include <optional>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "pw/advect/reference.hpp"
 #include "pw/advect/scheme.hpp"
-#include "pw/fault/injector.hpp"
 #include "pw/grid/init.hpp"
 #include "pw/kernel/chunking.hpp"
-#include "pw/kernel/config.hpp"
 #include "pw/kernel/multi_kernel.hpp"
-#include "pw/kernel/shift_buffer.hpp"
 #include "pw/obs/metrics.hpp"
-#include "pw/obs/span.hpp"
 #include "pw/stencil/spec.hpp"
 #include "pw/util/thread_pool.hpp"
 
 namespace pw::stencil {
 
 /// Which execution strategy runs a declared kernel. These mirror the
-/// api::Backend strategies one-for-one — every engine computes the same
-/// cells with the same per-cell op, so all double-precision engines are
-/// bit-identical by construction (the property the differential tests
-/// assert per kernel).
+/// api::Backend strategies one-for-one. Every engine runs the same raw-row
+/// pass with the same per-cell op; they differ only in how they cut the
+/// grid (whole grid, X slabs, Y chunks) and where each piece runs, so all
+/// engines are bit-identical by construction (the property the
+/// differential tests assert per kernel).
 enum class Engine {
-  kReference,      ///< serial direct-gather loop (the readable oracle path)
-  kThreaded,       ///< X-partitioned direct-gather on a ThreadPool
-  kFused,          ///< Fig. 2/3 shift-buffer streaming machine, one instance
-  kMultiInstance,  ///< N concurrent shift-buffer instances over X slabs
-  kChunkedHost,    ///< sequential X-chunked shift-buffer slabs (host driver)
-  kLaneBatched,    ///< lane-batched traversal (batching stats; math stays f64)
+  kReference,      ///< whole grid, serial (the readable oracle path)
+  kThreaded,       ///< X slabs on a thread pool
+  kFused,          ///< Y chunks in raster order, one instance (Fig. 2)
+  kMultiInstance,  ///< X slabs on a thread pool, each walked in Y chunks
+  kChunkedHost,    ///< X slabs one after another, each walked in Y chunks
+  kLaneBatched,    ///< whole grid, serial; reports lane batches (math f64)
 };
 
 struct EngineConfig {
   Engine engine = Engine::kReference;
-  std::size_t chunk_y = 64;   ///< Y-chunking of the shift-buffer engines
+  std::size_t chunk_y = 64;   ///< Y-chunking of the chunked engines
   std::size_t threads = 0;    ///< kThreaded worker count (0 = hardware)
   std::size_t instances = 4;  ///< kMultiInstance kernel instances
   std::size_t x_chunks = 8;   ///< kChunkedHost slab count
@@ -45,13 +43,24 @@ struct EngineConfig {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// Per-pass accounting, the stencil counterpart of KernelRunStats.
+/// Per-pass accounting, the stencil counterpart of KernelRunStats. The
+/// streaming counts are what the Fig. 3 shift-buffer walk of the same cut
+/// would count, derived from its geometry.
 struct PassStats {
   std::uint64_t cells = 0;             ///< interior cells written
   std::uint64_t values_streamed = 0;   ///< per-field raster values consumed
-  std::uint64_t stencils_emitted = 0;  ///< windows completed (fused engines)
+  std::uint64_t stencils_emitted = 0;  ///< windows completed (chunked engines)
   std::uint64_t chunks = 0;
   std::uint64_t batches = 0;  ///< lane batches (kLaneBatched only)
+
+  PassStats& operator+=(const PassStats& other) {
+    cells += other.cells;
+    values_streamed += other.values_streamed;
+    stencils_emitted += other.stencils_emitted;
+    chunks += other.chunks;
+    batches += other.batches;
+    return *this;
+  }
 };
 
 /// Grid coordinates of the cell an op is computing (interior, 0-based).
@@ -62,198 +71,133 @@ struct CellCtx {
 };
 
 // ---------------------------------------------------------------------------
-// The two primitive passes. An Op is any callable
+// What an op sees. An Op is any callable
 //
-//   advect::CellSources operator()(const advect::CellStencils&,
-//                                  const CellCtx&) const
+//   advect::CellSources operator()(const CellView&, const CellCtx&) const
 //
-// mapping one cell's 27-point input windows (u/v/w fields) to its three
-// output values. Both passes feed the op identical stencil values for every
-// cell — the direct gather below reads exactly the neighbourhood the shift
-// buffer's window would hold — so their outputs are bit-equal, which is how
-// every engine inherits conformance with the kernel's scalar reference.
+// mapping one cell's radius-1 neighbourhood of the input fields to its
+// output values. The view reads the fields in place, so a field the op does
+// not touch costs nothing. Ops must not throw (see PassEngine::run).
 
-/// Direct-gather pass: for each interior cell in `xr`, gather the three
-/// 27-point windows straight from the fields and apply the op. This is the
-/// access pattern of advect_reference_stencil, generalised.
-template <typename Op>
-void pass_direct(const grid::WindState& in, advect::SourceTerms& out,
-                 const Op& op, kernel::XRange xr, PassStats* stats = nullptr) {
-  const grid::GridDims dims = in.u.dims();
-  for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(xr.begin);
-       i < static_cast<std::ptrdiff_t>(xr.end); ++i) {
-    for (std::ptrdiff_t j = 0; j < static_cast<std::ptrdiff_t>(dims.ny);
-         ++j) {
-      for (std::ptrdiff_t k = 0; k < static_cast<std::ptrdiff_t>(dims.nz);
-           ++k) {
-        advect::CellStencils s;
-        for (int dx = -1; dx <= 1; ++dx) {
-          for (int dy = -1; dy <= 1; ++dy) {
-            for (int dz = -1; dz <= 1; ++dz) {
-              s.u.at(dx, dy, dz) = in.u.at(i + dx, j + dy, k + dz);
-              s.v.at(dx, dy, dz) = in.v.at(i + dx, j + dy, k + dz);
-              s.w.at(dx, dy, dz) = in.w.at(i + dx, j + dy, k + dz);
+/// One input field around a cell: `at(dx, dy, dz)` and `centre()` read the
+/// values advect::Stencil27 would hold.
+struct FieldView {
+  const double* row = nullptr;  ///< &field.at(i, j, 0)
+  std::ptrdiff_t k = 0;
+  std::ptrdiff_t stride_i = 0;
+  std::ptrdiff_t stride_j = 0;
+
+  double at(int dx, int dy, int dz) const {
+    return row[k + dz + dx * stride_i + dy * stride_j];
+  }
+  double centre() const { return row[k]; }
+};
+
+/// Views beyond the spec's fields_in are empty and must not be read.
+struct CellView {
+  FieldView u;
+  FieldView v;
+  FieldView w;
+};
+
+/// The fields one pass reads and writes; entries beyond spec.fields_in /
+/// spec.fields_out are null and never touched.
+struct PassFields {
+  std::array<const grid::FieldD*, 3> in{};
+  std::array<grid::FieldD*, 3> out{};
+};
+
+/// One engine's cut of a grid into X slabs and Y chunks, walked in raster
+/// order like the Fig. 2/3 streaming machine (whose shift buffer lives in
+/// src/kernel), plus the pool a threaded engine's passes share, so an
+/// iterative kernel starts its threads once per solve.
+class PassEngine {
+ public:
+  PassEngine(const EngineConfig& config, grid::GridDims dims);
+
+  /// One sweep of `op` over the interior of `fields.out`. Consults the
+  /// kernel's fault site (an armed hard fault throws fault::FaultError,
+  /// which the api layer reports as SolveError::kBackendFault) and records
+  /// the kernel's obs span and counters when config.metrics is set.
+  template <typename Op>
+  PassStats run(const StencilSpec& spec, const PassFields& fields,
+                const Op& op) const {
+    // A template output count keeps per-cell tests out of the inner loop.
+    // noexcept: a slab may run on a pool worker while the caller's frame
+    // holds `fields` and `op`, so an op that throws ends the process rather
+    // than unwinding past a running slab.
+    run_slabs(spec, [&](kernel::XRange slab) noexcept {
+      switch (spec.fields_out) {
+        case 1:
+          return run_slab<1>(fields, op, slab);
+        case 2:
+          return run_slab<2>(fields, op, slab);
+        default:
+          return run_slab<3>(fields, op, slab);
+      }
+    });
+    return stats_;
+  }
+
+ private:
+  template <std::size_t Outputs, typename Op>
+  void run_slab(const PassFields& fields, const Op& op,
+                kernel::XRange slab) const {
+    const auto nz = static_cast<std::ptrdiff_t>(fields.out[0]->nz());
+    for (const kernel::YChunk& chunk : chunks_) {
+      for (auto i = static_cast<std::ptrdiff_t>(slab.begin);
+           i < static_cast<std::ptrdiff_t>(slab.end); ++i) {
+        for (auto j = static_cast<std::ptrdiff_t>(chunk.j_begin);
+             j < static_cast<std::ptrdiff_t>(chunk.j_end); ++j) {
+          std::array<FieldView, 3> in{};
+          std::array<double*, Outputs> out{};
+          for (std::size_t f = 0; f < 3; ++f) {
+            if (const grid::FieldD* field = fields.in[f]) {
+              in[f] = {&field->at(i, j, 0), 0, field->stride_i(),
+                       field->stride_j()};
+            }
+          }
+          for (std::size_t f = 0; f < Outputs; ++f) {
+            out[f] = &fields.out[f]->at(i, j, 0);
+          }
+          for (std::ptrdiff_t k = 0; k < nz; ++k) {
+            in[0].k = in[1].k = in[2].k = k;
+            const advect::CellSources s =
+                op(CellView{in[0], in[1], in[2]}, CellCtx{i, j, k});
+            const std::array<double, 3> values{s.su, s.sv, s.sw};
+            for (std::size_t f = 0; f < Outputs; ++f) {
+              out[f][k] = values[f];
             }
           }
         }
-        const advect::CellSources sources = op(s, CellCtx{i, j, k});
-        out.su.at(i, j, k) = sources.su;
-        out.sv.at(i, j, k) = sources.sv;
-        out.sw.at(i, j, k) = sources.sw;
-        if (stats != nullptr) {
-          ++stats->cells;
-        }
       }
     }
   }
-}
 
-/// Streaming pass: the Fig. 2/3 machine — raster the padded slab through a
-/// triple shift buffer chunk by chunk, apply the op to each emitted window.
-/// Extracted from the advection fused kernel; the only advection-specific
-/// part (the per-cell arithmetic) is now the op.
-template <typename Op>
-void pass_streaming(const grid::WindState& in, advect::SourceTerms& out,
-                    const Op& op, std::size_t chunk_y, kernel::XRange xr,
-                    PassStats* stats = nullptr) {
-  const grid::GridDims dims = in.u.dims();
-  const kernel::ChunkPlan plan(dims, chunk_y);
-  const auto nz = dims.nz;
+  /// Fault check and span, `slab` over every X slab (the calling thread
+  /// takes the first, the pool if any the rest), counters.
+  void run_slabs(const StencilSpec& spec,
+                 const std::function<void(kernel::XRange)>& slab) const;
 
-  for (const kernel::YChunk& chunk : plan.chunks()) {
-    kernel::TripleShiftBuffer buffer(chunk.padded_width(), nz + 2);
-    const auto jb = static_cast<std::ptrdiff_t>(chunk.j_begin);
-    const auto x_lo = static_cast<std::ptrdiff_t>(xr.begin) - 1;
-    const auto x_hi = static_cast<std::ptrdiff_t>(xr.end) + 1;  // exclusive
-    const auto j_lo = jb - 1;
-    const auto j_hi = static_cast<std::ptrdiff_t>(chunk.j_end) + 1;
+  EngineConfig config_;
+  std::vector<kernel::XRange> slabs_;
+  std::vector<kernel::YChunk> chunks_;
+  PassStats stats_;
+  std::unique_ptr<util::ThreadPool> pool_;  ///< null for serial engines
+};
 
-    for (std::ptrdiff_t i = x_lo; i < x_hi; ++i) {
-      for (std::ptrdiff_t j = j_lo; j < j_hi; ++j) {
-        for (std::ptrdiff_t k = -1; k <= static_cast<std::ptrdiff_t>(nz);
-             ++k) {
-          if (stats != nullptr) {
-            ++stats->values_streamed;
-          }
-          auto emitted =
-              buffer.push(in.u.at(i, j, k), in.v.at(i, j, k), in.w.at(i, j, k));
-          if (!emitted) {
-            continue;
-          }
-          // Padded centre coordinates -> global interior coordinates.
-          const auto gi = x_lo + static_cast<std::ptrdiff_t>(emitted->ci);
-          const auto gj = j_lo + static_cast<std::ptrdiff_t>(emitted->cj);
-          const auto gk = static_cast<std::ptrdiff_t>(emitted->ck) - 1;
-          const advect::CellSources sources =
-              op(emitted->stencils, CellCtx{gi, gj, gk});
-          out.su.at(gi, gj, gk) = sources.su;
-          out.sv.at(gi, gj, gk) = sources.sv;
-          out.sw.at(gi, gj, gk) = sources.sw;
-          if (stats != nullptr) {
-            ++stats->stencils_emitted;
-            ++stats->cells;
-          }
-        }
-      }
-    }
-    if (stats != nullptr) {
-      ++stats->chunks;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// The engine dispatcher: one sweep of `op` over the grid under `config`,
-// with the spec-derived fault site and obs instrumentation every declared
-// kernel inherits. Throws fault::FaultError when the kernel's site is armed
-// with a hard fault (the api layer converts that to SolveError::kBackendFault
-// so the serve retry/failover ladder applies to stencil kernels unchanged).
-
+/// One sweep of `op` over the grid under `config`, with the spec-derived
+/// fault site and obs instrumentation every declared kernel inherits.
 template <typename Op>
 PassStats run_pass(const StencilSpec& spec, const grid::WindState& in,
                    advect::SourceTerms& out, const Op& op,
                    const EngineConfig& config) {
-  fault::throw_if(fault_site(spec));
-
-  const grid::GridDims dims = in.u.dims();
-  const kernel::XRange full{0, dims.nx};
-  PassStats stats;
-
-  std::optional<obs::Span> span;
-  if (config.metrics != nullptr) {
-    span.emplace(*config.metrics, obs_prefix(spec) + ".pass");
-  }
-
-  switch (config.engine) {
-    case Engine::kReference:
-      pass_direct(in, out, op, full, &stats);
-      break;
-    case Engine::kThreaded:
-    case Engine::kMultiInstance: {
-      const bool streaming = config.engine == Engine::kMultiInstance;
-      const std::size_t parts = streaming ? config.instances : config.threads;
-      util::ThreadPool pool(parts);
-      const auto ranges = kernel::partition_x(dims.nx, pool.size());
-      std::vector<PassStats> partial(ranges.size());
-      std::vector<std::future<void>> done;
-      done.reserve(ranges.size());
-      for (std::size_t r = 0; r < ranges.size(); ++r) {
-        done.push_back(pool.submit([&, r] {
-          if (streaming) {
-            pass_streaming(in, out, op, config.chunk_y, ranges[r],
-                           &partial[r]);
-          } else {
-            pass_direct(in, out, op, ranges[r], &partial[r]);
-          }
-        }));
-      }
-      for (std::future<void>& f : done) {
-        f.get();
-      }
-      for (const PassStats& p : partial) {
-        stats.cells += p.cells;
-        stats.values_streamed += p.values_streamed;
-        stats.stencils_emitted += p.stencils_emitted;
-        stats.chunks += p.chunks;
-      }
-      break;
-    }
-    case Engine::kFused:
-      pass_streaming(in, out, op, config.chunk_y, full, &stats);
-      break;
-    case Engine::kChunkedHost: {
-      const auto ranges = kernel::partition_x(
-          dims.nx, config.x_chunks == 0 ? 1 : config.x_chunks);
-      for (const kernel::XRange& slab : ranges) {
-        pass_streaming(in, out, op, config.chunk_y, slab, &stats);
-      }
-      break;
-    }
-    case Engine::kLaneBatched: {
-      // Lane batching shapes the traversal accounting (how many vector
-      // batches a lane-parallel datapath would issue); the arithmetic stays
-      // double so the engine remains bit-identical to the reference.
-      pass_direct(in, out, op, full, &stats);
-      const std::size_t lanes = config.lanes == 0 ? 1 : config.lanes;
-      stats.batches = (stats.cells + lanes - 1) / lanes;
-      break;
-    }
-  }
-
-  if (config.metrics != nullptr) {
-    const std::string prefix = obs_prefix(spec);
-    config.metrics->counter_add(prefix + ".passes");
-    config.metrics->counter_add(prefix + ".cells", stats.cells);
-    if (stats.values_streamed != 0) {
-      config.metrics->counter_add(prefix + ".values_streamed",
-                                  stats.values_streamed);
-    }
-    if (stats.stencils_emitted != 0) {
-      config.metrics->counter_add(prefix + ".stencils_emitted",
-                                  stats.stencils_emitted);
-    }
-  }
-  return stats;
+  const PassFields fields{
+      {&in.u, spec.fields_in > 1 ? &in.v : nullptr,
+       spec.fields_in > 2 ? &in.w : nullptr},
+      {&out.su, spec.fields_out > 1 ? &out.sv : nullptr,
+       spec.fields_out > 2 ? &out.sw : nullptr}};
+  return PassEngine(config, in.u.dims()).run(spec, fields, op);
 }
 
 }  // namespace pw::stencil

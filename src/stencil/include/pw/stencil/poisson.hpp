@@ -32,7 +32,7 @@ const StencilSpec& poisson_spec();
 /// One Jacobi update, shared by the scalar reference and every engine:
 /// u' = ((u[i-1]+u[i+1])*cx + (u[j-1]+u[j+1])*cy + (u[k-1]+u[k+1])*cz
 ///       - rhs) / (2cx + 2cy + 2cz), reading the guess from the u stencil
-/// and the right-hand side from the v stencil's centre.
+/// and the right-hand side from the v field's centre (w is never read).
 struct PoissonOp {
   double cx = 0.0;  ///< 1 / dx^2
   double cy = 0.0;
@@ -45,8 +45,7 @@ struct PoissonOp {
         cz(1.0 / (p.dz * p.dz)),
         inv_diag(1.0 / (2.0 * cx + 2.0 * cy + 2.0 * cz)) {}
 
-  advect::CellSources operator()(const advect::CellStencils& s,
-                                 const CellCtx&) const {
+  advect::CellSources operator()(const CellView& s, const CellCtx&) const {
     const double sum = (s.u.at(-1, 0, 0) + s.u.at(+1, 0, 0)) * cx +
                        (s.u.at(0, -1, 0) + s.u.at(0, +1, 0)) * cy +
                        (s.u.at(0, 0, -1) + s.u.at(0, 0, +1)) * cz;
@@ -60,24 +59,11 @@ void poisson_reference(const grid::WindState& state,
                        const PoissonParams& params, advect::SourceTerms& out);
 
 /// `iterations` Jacobi sweeps on the stencil machine under `config`; each
-/// sweep is one machine pass (with its own fault-site check), halos
-/// re-zeroed between sweeps per the kernel's Dirichlet boundary rule. All
-/// engines are bit-identical to poisson_reference.
+/// sweep is one machine pass (with its own fault-site check) on one
+/// PassEngine. Zeroes out.su's halo (the Dirichlet rule). All engines are
+/// bit-identical to poisson_reference.
 PassStats run_poisson(const grid::WindState& state,
                       const PoissonParams& params, advect::SourceTerms& out,
                       const EngineConfig& config);
-
-/// One Jacobi sweep that ingests the guess's halos exactly as provided
-/// instead of imposing the Dirichlet boundary rule — the per-shard pass
-/// entry for pw::shard, whose halo-exchange layer owns the halo contents
-/// (neighbour-shard interiors at internal boundaries, the boundary rule
-/// only at true domain edges). state.u is the current guess including
-/// halos, state.v the right-hand side; the updated guess lands in out.su.
-/// params.iterations is ignored (the caller sequences sweeps around its
-/// exchanges).
-PassStats run_poisson_sweep(const grid::WindState& state,
-                            const PoissonParams& params,
-                            advect::SourceTerms& out,
-                            const EngineConfig& config);
 
 }  // namespace pw::stencil

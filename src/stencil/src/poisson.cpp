@@ -22,38 +22,6 @@ const StencilSpec& poisson_spec() {
   return spec;
 }
 
-namespace {
-
-/// Interior-only copy; halos of `dst` are left untouched (they stay at the
-/// Dirichlet zero the field constructor established).
-void copy_interior(const grid::FieldD& src, grid::FieldD& dst) {
-  const grid::GridDims dims = src.dims();
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(dims.nx); ++i) {
-    for (std::ptrdiff_t j = 0; j < static_cast<std::ptrdiff_t>(dims.ny);
-         ++j) {
-      for (std::ptrdiff_t k = 0; k < static_cast<std::ptrdiff_t>(dims.nz);
-           ++k) {
-        dst.at(i, j, k) = src.at(i, j, k);
-      }
-    }
-  }
-}
-
-void zero_interior(grid::FieldD& field) {
-  const grid::GridDims dims = field.dims();
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(dims.nx); ++i) {
-    for (std::ptrdiff_t j = 0; j < static_cast<std::ptrdiff_t>(dims.ny);
-         ++j) {
-      for (std::ptrdiff_t k = 0; k < static_cast<std::ptrdiff_t>(dims.nz);
-           ++k) {
-        field.at(i, j, k) = 0.0;
-      }
-    }
-  }
-}
-
-}  // namespace
-
 void poisson_reference(const grid::WindState& state,
                        const PoissonParams& params, advect::SourceTerms& out) {
   const grid::GridDims dims = state.u.dims();
@@ -62,7 +30,7 @@ void poisson_reference(const grid::WindState& state,
   // fields are all-zero, and only interiors are ever written.
   grid::FieldD guess(dims, state.u.halo());
   grid::FieldD next(dims, state.u.halo());
-  copy_interior(state.u, guess);
+  guess.copy_interior_from(state.u);
 
   const std::size_t iterations = std::max<std::size_t>(1, params.iterations);
   for (std::size_t sweep = 0; sweep < iterations; ++sweep) {
@@ -84,45 +52,36 @@ void poisson_reference(const grid::WindState& state,
     }
     std::swap(guess, next);
   }
-  copy_interior(guess, out.su);
-  zero_interior(out.sv);
-  zero_interior(out.sw);
-}
-
-PassStats run_poisson_sweep(const grid::WindState& state,
-                            const PoissonParams& params,
-                            advect::SourceTerms& out,
-                            const EngineConfig& config) {
-  return run_pass(poisson_spec(), state, out, PoissonOp(params), config);
+  out.su.copy_interior_from(guess);
+  out.sv.fill(0.0);
+  out.sw.fill(0.0);
 }
 
 PassStats run_poisson(const grid::WindState& state,
                       const PoissonParams& params, advect::SourceTerms& out,
                       const EngineConfig& config) {
   const grid::GridDims dims = state.u.dims();
-  // work.u carries the evolving guess (Dirichlet-zero halos), work.v the
-  // right-hand side; work.w stays zero and rides along unused — the machine
-  // streams field triples, matching the Fig. 2 datapath.
-  grid::WindState work(dims);
-  copy_interior(state.u, work.u);
-  copy_interior(state.v, work.v);
-
-  advect::SourceTerms sweep_out(dims);
-  PassStats total;
   const std::size_t iterations = std::max<std::size_t>(1, params.iterations);
+  // Ping-pong between out.su and one scratch guess, both with Dirichlet-zero
+  // halos, reading the rhs in place from state.v. Starting in out.su on an
+  // even sweep count lands the last sweep in out.su.
+  grid::FieldD scratch(dims, out.su.halo());
+  out.su.fill_halo(0.0);
+  grid::FieldD* guess = iterations % 2 == 0 ? &out.su : &scratch;
+  grid::FieldD* next = iterations % 2 == 0 ? &scratch : &out.su;
+  guess->copy_interior_from(state.u);
+
+  const PassEngine engine(config, dims);
+  const PoissonOp op(params);
+  PassStats total;
   for (std::size_t sweep = 0; sweep < iterations; ++sweep) {
-    const PassStats pass =
-        run_pass(poisson_spec(), work, sweep_out, PoissonOp(params), config);
-    total.cells += pass.cells;
-    total.values_streamed += pass.values_streamed;
-    total.stencils_emitted += pass.stencils_emitted;
-    total.chunks += pass.chunks;
-    total.batches += pass.batches;
-    copy_interior(sweep_out.su, work.u);
+    total += engine.run(poisson_spec(),
+                        {{guess, &state.v, nullptr}, {next, nullptr, nullptr}},
+                        op);
+    std::swap(guess, next);
   }
-  copy_interior(work.u, out.su);
-  zero_interior(out.sv);
-  zero_interior(out.sw);
+  out.sv.fill(0.0);
+  out.sw.fill(0.0);
   return total;
 }
 

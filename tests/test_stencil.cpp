@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "pw/advect/reference.hpp"
 #include "pw/fault/injector.hpp"
 #include "pw/fpga/perf_model.hpp"
 #include "pw/grid/compare.hpp"
@@ -175,6 +176,180 @@ TEST(StencilMachine, EveryEngineProducesIdenticalDiffusion) {
         stencil::run_diffusion(*state, params, out, config);
     EXPECT_EQ(stats.cells, c.dims.cells());
     expect_bit_equal(reference, out, "engine");
+  }
+}
+
+const std::vector<stencil::Engine>& all_engines() {
+  static const std::vector<stencil::Engine> kEngines = {
+      stencil::Engine::kReference,     stencil::Engine::kThreaded,
+      stencil::Engine::kFused,         stencil::Engine::kMultiInstance,
+      stencil::Engine::kChunkedHost,   stencil::Engine::kLaneBatched};
+  return kEngines;
+}
+
+/// Geometries that cut unevenly: fewer X planes than instances and slabs,
+/// ny not a multiple of chunk_y, a single level, and no Y chunking at all.
+struct EngineCase {
+  grid::GridDims dims;
+  std::size_t chunk_y;
+};
+
+const std::vector<EngineCase>& odd_engine_cases() {
+  static const std::vector<EngineCase> kCases = {
+      {{3, 11, 5}, 4}, {{6, 7, 1}, 3}, {{5, 9, 4}, 0}, {{2, 5, 1}, 0}};
+  return kCases;
+}
+
+stencil::EngineConfig odd_engine_config(stencil::Engine engine,
+                                        std::size_t chunk_y) {
+  stencil::EngineConfig config;
+  config.engine = engine;
+  config.chunk_y = chunk_y;
+  config.threads = 3;
+  config.instances = 4;
+  config.x_chunks = 8;
+  config.lanes = 8;
+  return config;
+}
+
+/// Output terms whose every value (halos included) is garbage, so a pass
+/// that leaves a cell unwritten or reads an output halo shows.
+advect::SourceTerms dirty_terms(grid::GridDims dims) {
+  advect::SourceTerms out(dims);
+  out.su.fill(-7.25);
+  out.sv.fill(3.5);
+  out.sw.fill(1e300);
+  return out;
+}
+
+TEST(StencilMachine, EveryEngineProducesIdenticalPoisson) {
+  // Both ping-pong parities (odd and even sweep counts) on every engine,
+  // from a guess whose halos hold garbage the Dirichlet rule must ignore.
+  for (const EngineCase& c : odd_engine_cases()) {
+    grid::WindState state(c.dims);
+    grid::init_random(state, 11);
+    state.u.fill_halo(42.0);
+    state.v.fill_halo(-13.0);
+    state.w.fill(1e300);
+    for (const std::size_t iterations : {1u, 2u, 7u}) {
+      stencil::PoissonParams params;
+      params.iterations = iterations;
+      advect::SourceTerms reference(c.dims);
+      stencil::poisson_reference(state, params, reference);
+      for (const stencil::Engine engine : all_engines()) {
+        advect::SourceTerms out = dirty_terms(c.dims);
+        const stencil::PassStats stats = stencil::run_poisson(
+            state, params, out, odd_engine_config(engine, c.chunk_y));
+        EXPECT_EQ(stats.cells, iterations * c.dims.cells());
+        expect_bit_equal(
+            reference, out,
+            "poisson engine " + std::to_string(static_cast<int>(engine)) +
+                " iterations " + std::to_string(iterations) + " @ " +
+                std::to_string(c.dims.nx) + "x" + std::to_string(c.dims.ny) +
+                "x" + std::to_string(c.dims.nz));
+      }
+    }
+  }
+}
+
+TEST(StencilMachine, EveryEngineProducesIdenticalAdvection) {
+  for (const EngineCase& c : odd_engine_cases()) {
+    grid::WindState state(c.dims);
+    grid::init_random(state, 12);
+    const advect::PwCoefficients coefficients =
+        advect::PwCoefficients::from_geometry(
+            grid::Geometry::uniform(c.dims, 100.0, 80.0, 40.0));
+    advect::SourceTerms reference(c.dims);
+    advect::advect_reference(state, coefficients, reference);
+    for (const stencil::Engine engine : all_engines()) {
+      advect::SourceTerms out = dirty_terms(c.dims);
+      stencil::run_advect(state, coefficients, out,
+                          odd_engine_config(engine, c.chunk_y));
+      expect_bit_equal(
+          reference, out,
+          "advect engine " + std::to_string(static_cast<int>(engine)) +
+              " @ " + std::to_string(c.dims.nx) + "x" +
+              std::to_string(c.dims.ny) + "x" + std::to_string(c.dims.nz));
+    }
+  }
+}
+
+TEST(StencilMachine, PassStatsMatchTheShiftBufferWalk) {
+  // The streaming counts the engines report are those the Fig. 3
+  // shift-buffer walk of the same cut produced value by value: each X slab
+  // and Y chunk rasters a one-cell halo on both sides. Pinned on one odd
+  // geometry (5x11x3; chunk_y 4 -> chunks of 4, 4, 3; 3 instances; 2 host
+  // slabs) to the counts the value-by-value walk recorded, for one
+  // diffusion pass and a 3-sweep Poisson solve.
+  const grid::GridDims dims{5, 11, 3};
+  grid::WindState state(dims);
+  grid::init_random(state, 5);
+  struct Expected {
+    stencil::Engine engine;
+    std::uint64_t values_streamed;
+    std::uint64_t chunks;
+    std::uint64_t batches;
+  };
+  const std::vector<Expected> expected = {
+      {stencil::Engine::kFused, 595, 3, 0},
+      {stencil::Engine::kMultiInstance, 935, 9, 0},
+      {stencil::Engine::kChunkedHost, 765, 6, 0},
+      {stencil::Engine::kLaneBatched, 0, 0, 21},
+  };
+  for (const Expected& e : expected) {
+    stencil::EngineConfig config;
+    config.engine = e.engine;
+    config.chunk_y = 4;
+    config.instances = 3;
+    config.x_chunks = 2;
+    config.lanes = 8;
+    obs::MetricsRegistry registry;
+    config.metrics = &registry;
+    const std::string label =
+        "engine " + std::to_string(static_cast<int>(e.engine));
+    const bool streams = e.values_streamed != 0;
+
+    advect::SourceTerms out(dims);
+    const stencil::PassStats pass = stencil::run_diffusion(
+        state, stencil::DiffusionParams{}, out, config);
+    EXPECT_EQ(pass.cells, 165u) << label;
+    EXPECT_EQ(pass.values_streamed, e.values_streamed) << label;
+    EXPECT_EQ(pass.stencils_emitted, streams ? 165u : 0u) << label;
+    EXPECT_EQ(pass.chunks, e.chunks) << label;
+    EXPECT_EQ(pass.batches, e.batches) << label;
+
+    stencil::PoissonParams params;
+    params.iterations = 3;
+    const stencil::PassStats solve =
+        stencil::run_poisson(state, params, out, config);
+    EXPECT_EQ(solve.cells, 3 * 165u) << label;
+    EXPECT_EQ(solve.values_streamed, 3 * e.values_streamed) << label;
+    EXPECT_EQ(solve.stencils_emitted, streams ? 3 * 165u : 0u) << label;
+    EXPECT_EQ(solve.chunks, 3 * e.chunks) << label;
+    EXPECT_EQ(solve.batches, 3 * e.batches) << label;
+
+    // The obs counters carry the same totals; the streaming ones are
+    // absent for engines that do not stream.
+    const obs::RegistrySnapshot snapshot = registry.snapshot();
+    const auto counter = [&](const std::string& name) -> std::uint64_t {
+      const auto it = snapshot.counters.find(name);
+      return it == snapshot.counters.end() ? 0 : it->second;
+    };
+    EXPECT_EQ(counter("stencil.diffusion.passes"), 1u) << label;
+    EXPECT_EQ(counter("stencil.diffusion.cells"), 165u) << label;
+    EXPECT_EQ(counter("stencil.diffusion.values_streamed"), e.values_streamed)
+        << label;
+    EXPECT_EQ(counter("stencil.diffusion.stencils_emitted"),
+              streams ? 165u : 0u)
+        << label;
+    EXPECT_EQ(counter("stencil.poisson_jacobi.passes"), 3u) << label;
+    EXPECT_EQ(counter("stencil.poisson_jacobi.cells"), 3 * 165u) << label;
+    EXPECT_EQ(counter("stencil.poisson_jacobi.values_streamed"),
+              3 * e.values_streamed)
+        << label;
+    EXPECT_EQ(snapshot.counters.count("stencil.diffusion.values_streamed"),
+              streams ? 1u : 0u)
+        << label;
   }
 }
 
