@@ -120,16 +120,10 @@ int cmd_run(const util::Cli& cli) {
       std::cout << "metrics json written to " << *path << "\n";
     }
   }
-  // The f32 datapath is not expected to be bit-identical to the double
-  // reference; everything else is.
-  const bool ok =
-      impl == "vectorized" || matches_reference(reference, out);
+  const bool ok = matches_reference(reference, out);
   std::cout << impl << " datapath on " << dims.nx << "x" << dims.ny << "x"
             << dims.nz << ": " << ms << " ms, "
-            << (impl == "vectorized"
-                    ? "f32 (tolerance-checked elsewhere)"
-                    : (ok ? "bit-exact vs reference" : "MISMATCH"))
-            << "\n";
+            << (ok ? "bit-exact vs reference" : "MISMATCH") << "\n";
   return ok ? 0 : 1;
 }
 

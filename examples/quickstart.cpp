@@ -3,10 +3,10 @@
 // fields (+ coefficients for advection) + options into a SolveRequest,
 // call solve() (or submit() for a SolveFuture), get source terms plus a
 // metrics snapshot.
-// This example runs the PW advection scheme through four backends (scalar
-// reference, threaded CPU baseline, the fused dataflow kernel and the
-// overlapped host driver), verifies the double-precision datapaths agree
-// bit-exactly — the paper's performance-portability claim in miniature —
+// This example runs the PW advection scheme through every backend (scalar
+// reference, threaded CPU baseline, the fused dataflow kernel, the
+// multi-kernel launch, the overlapped host driver and the lane-batched
+// datapath), verifies they agree bit-exactly — the paper's performance-portability claim in miniature —
 // demonstrates the serving layer riding out injected backend faults
 // (retry, then degrade to the CPU baseline without changing the answer),
 // and prints the observability table collected along the way.
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // 5. Every double-precision datapath must agree with it to the last bit.
+  // 5. Every other datapath must agree with it to the last bit.
   //    Each backend's knobs live in its own options struct — invalid
   //    combinations are unrepresentable. submit() returns a SolveFuture;
   //    wait() blocks for the result.
@@ -81,7 +81,8 @@ int main(int argc, char** argv) {
       api::BackendSpec(api::Backend::kCpuBaseline),
       api::BackendSpec(api::Backend::kFused),
       api::BackendSpec(api::Backend::kMultiKernel),
-      api::BackendSpec(host)};
+      api::BackendSpec(host),
+      api::BackendSpec(api::Backend::kVectorized)};
   for (const api::BackendSpec& spec : specs) {
     options.backend = spec;
     const api::Backend backend = spec.backend();

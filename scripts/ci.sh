@@ -50,7 +50,10 @@
 #                              Skipped with PW_CI_SKIP_SANITIZERS=1 for
 #                              quick local iterations.
 #   4b. ubsan: streams + fault UBSan-only build (build-ubsan/) + ctest -L
-#        + stencil + check     streams/fault/stencil/check — unlike 4, no ASan
+#        + stencil + check     streams/fault/stencil/check (the stencil
+#                              label covers test_stencil and
+#                              test_solver_api, i.e. every api backend on
+#                              the stencil engines) — unlike 4, no ASan
 #                              shadow memory, so the lock-free fast paths
 #                              run at near-production interleaving density
 #                              while UBSan watches for the UB (misaligned
@@ -67,7 +70,9 @@
 #                              (test_stream_fabric), whose memory-ordering
 #                              argument is only as good as its TSan run,
 #                              the stencil label drives the threaded /
-#                              multi-instance stencil engines plus the
+#                              multi-instance stencil engines (directly
+#                              and, via test_solver_api, as the api's
+#                              advection backends) plus the
 #                              mixed-kernel SolveService traffic, and the
 #                              shard label runs one pass thread per
 #                              simulated device (including the chaos test
@@ -139,7 +144,7 @@ cmake -B build-ubsan -S . -DPW_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-ubsan -j "$JOBS" --target \
   test_stream_fabric test_fault test_fault_chaos \
-  test_backend_differential test_stencil test_check
+  test_backend_differential test_stencil test_solver_api test_check
 UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
   ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L streams
 UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
@@ -155,7 +160,7 @@ cmake -B build-tsan -S . -DPW_SANITIZE=thread \
 cmake --build build-tsan -j "$JOBS" --target \
   test_serve test_serve_stress test_stream_fabric \
   test_fault test_fault_chaos test_backend_differential test_stencil \
-  test_shard test_qos
+  test_solver_api test_shard test_qos
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -R '^Serve'
 TSAN_OPTIONS=halt_on_error=1 \

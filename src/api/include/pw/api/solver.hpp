@@ -46,15 +46,16 @@ inline constexpr std::array<Kernel, 3> kAllKernels = {
 };
 
 /// Which implementation services a solve. Every backend computes the same
-/// PW advection source terms; they differ in execution strategy (and the
-/// metrics they emit along the way).
+/// source terms, bit for bit; they differ in execution strategy (and the
+/// metrics they emit along the way). Apart from the reference and host
+/// advection paths, each backend is one pw::stencil engine (engine_config).
 enum class Backend {
-  kReference,    ///< serial oracle (advect_reference)
-  kCpuBaseline,  ///< threaded CPU comparator (paper's 24-core Xeon row)
+  kReference,    ///< serial oracle (advect_reference for advection)
+  kCpuBaseline,  ///< X slabs on a thread pool (paper's 24-core Xeon row)
   kFused,        ///< single fused dataflow kernel (FPGA datapath, 1 thread)
   kMultiKernel,  ///< N concurrent kernel instances (multi-compute-unit)
   kHostOverlap,  ///< full host driver: chunked PCIe transfers + kernels
-  kVectorized,   ///< float32 vector-batch datapath (Versal AIE sketch)
+  kVectorized,   ///< lane-batched traversal, f64 math (Versal AIE sketch)
 };
 
 const char* to_string(Backend backend);
@@ -134,7 +135,7 @@ struct MultiKernelOptions {
 };
 
 struct VectorizedOptions {
-  std::size_t lanes = 8;  ///< f32 vector width
+  std::size_t lanes = 8;  ///< vector batch width
 };
 
 /// Host-driver knobs for Backend::kHostOverlap. Deliberately *without* its
@@ -338,6 +339,12 @@ SolveError validate(const SolverOptions& options);
 /// Full validation against a concrete grid.
 SolveError validate(const SolverOptions& options, const grid::GridDims& dims);
 
+/// The pw::stencil engine a backend runs: the same six strategies (serial
+/// oracle, threaded, fused shift-buffer stream, multi-instance, chunked
+/// host, lane-batched) exist on both sides. The single backend -> engine
+/// mapping, shared by Solver and the sharded solver; metrics stays null.
+stencil::EngineConfig engine_config(const SolverOptions& options);
+
 struct SolveRequest;  // pw/api/request.hpp
 class SolveFuture;    // pw/api/request.hpp
 
@@ -346,7 +353,7 @@ class SolveFuture;    // pw/api/request.hpp
 /// MetricsRegistry (a `solve/<backend>` span plus whatever the backend
 /// layers emit). options().kernel_spec selects the kernel (PW advection by
 /// default); the low-level entry points (advect_reference,
-/// run_kernel_fused, stencil::run_diffusion, ...) remain available for
+/// stencil::run_advect, stencil::run_diffusion, ...) remain available for
 /// code that needs the raw stats structs.
 ///
 /// The request form is the primary surface: pack fields (+ coefficients

@@ -3,19 +3,15 @@
 #include <chrono>
 #include <cmath>
 
-#include "pw/advect/cpu_baseline.hpp"
 #include "pw/advect/flops.hpp"
 #include "pw/api/request.hpp"
 #include "pw/fault/injector.hpp"
-#include "pw/kernel/fused.hpp"
-#include "pw/kernel/multi_kernel.hpp"
 #include "pw/kernel/pipeline_graph.hpp"
-#include "pw/kernel/vectorized.hpp"
 #include "pw/lint/checks.hpp"
 #include "pw/obs/span.hpp"
 #include "pw/ocl/host_driver.hpp"
+#include "pw/stencil/advect.hpp"
 #include "pw/stencil/spec.hpp"
-#include "pw/util/thread_pool.hpp"
 
 namespace pw::api {
 
@@ -285,17 +281,9 @@ lint::LintReport Solver::validate(const grid::GridDims& dims) const {
   return report;
 }
 
-namespace {
-
-/// Maps the backend selection onto the stencil machine's execution engine:
-/// the same six strategies (serial oracle, threaded, fused shift-buffer
-/// stream, multi-instance, chunked host, lane-batched) exist on both sides,
-/// so every declared kernel runs under every backend.
-stencil::EngineConfig engine_for(const SolverOptions& options,
-                                 obs::MetricsRegistry& registry) {
+stencil::EngineConfig engine_config(const SolverOptions& options) {
   stencil::EngineConfig config;
   config.chunk_y = options.kernel.chunk_y;
-  config.metrics = &registry;
   switch (options.backend.backend()) {
     case Backend::kReference:
       config.engine = stencil::Engine::kReference;
@@ -317,16 +305,12 @@ stencil::EngineConfig engine_for(const SolverOptions& options,
       config.x_chunks = options.backend.get_if<HostOptions>()->x_chunks;
       break;
     case Backend::kVectorized:
-      // Stencil kernels keep double math in lane batches, so the engine
-      // stays bit-identical to the oracle (unlike advection's f32 path).
       config.engine = stencil::Engine::kLaneBatched;
       config.lanes = options.backend.get_if<VectorizedOptions>()->lanes;
       break;
   }
   return config;
 }
-
-}  // namespace
 
 SolveResult Solver::solve(const SolveRequest& request) const {
   const SolverOptions& options = request.options;
@@ -361,8 +345,8 @@ SolveResult Solver::solve(const SolveRequest& request) const {
   obs::MetricsRegistry& registry =
       options.metrics != nullptr ? *options.metrics : local_registry;
 
-  kernel::KernelConfig kernel_config = options.kernel;
-  kernel_config.metrics = &registry;
+  stencil::EngineConfig engine = engine_config(options);
+  engine.metrics = &registry;
 
   advect::SourceTerms terms(dims);
   const auto wall_start = std::chrono::steady_clock::now();
@@ -370,53 +354,31 @@ SolveResult Solver::solve(const SolveRequest& request) const {
     obs::Span solve_span(registry,
                          std::string("solve/") + to_string(backend));
     if (kernel == Kernel::kDiffusion) {
-      stencil::run_diffusion(state, *options.kernel_spec.get_if<DiffusionOptions>(),
-                             terms, engine_for(options, registry));
+      stencil::run_diffusion(
+          state, *options.kernel_spec.get_if<DiffusionOptions>(), terms,
+          engine);
     } else if (kernel == Kernel::kPoissonJacobi) {
-      stencil::run_poisson(state, *options.kernel_spec.get_if<PoissonOptions>(),
-                           terms, engine_for(options, registry));
+      stencil::run_poisson(state,
+                           *options.kernel_spec.get_if<PoissonOptions>(),
+                           terms, engine);
+    } else if (backend == Backend::kReference) {
+      // The scalar oracle itself, not the stencil reference engine.
+      advect::advect_reference(state, *request.coefficients, terms);
+    } else if (backend == Backend::kHostOverlap) {
+      // The full host driver: modelled transfers around a fused stencil
+      // pass per X chunk.
+      const HostOptions& host = *options.backend.get_if<HostOptions>();
+      ocl::HostDriverConfig host_config;
+      host_config.x_chunks = host.x_chunks;
+      host_config.overlapped = host.overlapped;
+      host_config.timing = host.timing;
+      host_config.kernel_time_model = host.kernel_time_model;
+      host_config.kernel = options.kernel;  // the single construction point
+      host_config.kernel.metrics = &registry;
+      host_config.metrics = &registry;
+      ocl::advect_via_host(state, *request.coefficients, terms, host_config);
     } else {
-      const advect::PwCoefficients& coefficients = *request.coefficients;
-      switch (backend) {
-        case Backend::kReference:
-          advect::advect_reference(state, coefficients, terms);
-          break;
-        case Backend::kCpuBaseline: {
-          util::ThreadPool pool(
-              options.backend.get_if<CpuBaselineOptions>()->threads);
-          const advect::CpuAdvectorBaseline baseline(pool);
-          const auto stats = baseline.run(state, coefficients, terms);
-          registry.gauge_set("cpu_baseline.threads",
-                             static_cast<double>(stats.threads));
-          registry.gauge_set("cpu_baseline.gflops", stats.gflops);
-          break;
-        }
-        case Backend::kFused:
-          kernel::run_kernel_fused(state, coefficients, terms, kernel_config);
-          break;
-        case Backend::kMultiKernel:
-          kernel::run_multi_kernel(
-              state, coefficients, terms, kernel_config,
-              options.backend.get_if<MultiKernelOptions>()->kernels);
-          break;
-        case Backend::kHostOverlap: {
-          const HostOptions& host = *options.backend.get_if<HostOptions>();
-          ocl::HostDriverConfig host_config;
-          host_config.x_chunks = host.x_chunks;
-          host_config.overlapped = host.overlapped;
-          host_config.timing = host.timing;
-          host_config.kernel_time_model = host.kernel_time_model;
-          host_config.kernel = kernel_config;  // the single construction point
-          host_config.metrics = &registry;
-          ocl::advect_via_host(state, coefficients, terms, host_config);
-          break;
-        }
-        case Backend::kVectorized:
-          kernel::run_kernel_vectorized_f32(
-              state, coefficients, terms, kernel_config,
-              options.backend.get_if<VectorizedOptions>()->lanes);
-          break;
-      }
+      stencil::run_advect(state, *request.coefficients, terms, engine);
     }
   } catch (const fault::FaultError& e) {
     // An injected (or, with real hardware, genuine) backend fault: surface

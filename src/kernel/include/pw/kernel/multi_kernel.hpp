@@ -3,9 +3,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "pw/advect/coefficients.hpp"
-#include "pw/advect/reference.hpp"
-#include "pw/grid/init.hpp"
 #include "pw/kernel/config.hpp"
 
 namespace pw::kernel {
@@ -14,14 +11,5 @@ namespace pw::kernel {
 /// kernel instance (§IV: six kernels on the Alveo, five on the Stratix 10).
 /// Each slab additionally streams its own +/-1 halo planes.
 std::vector<XRange> partition_x(std::size_t nx, std::size_t kernels);
-
-/// Runs `kernels` kernel instances concurrently (one thread each, the
-/// multi-compute-unit configuration), every instance executing the fused
-/// datapath on its x-slab. Results are identical to a single kernel pass.
-KernelRunStats run_multi_kernel(const grid::WindState& state,
-                                const advect::PwCoefficients& coefficients,
-                                advect::SourceTerms& out,
-                                const KernelConfig& config,
-                                std::size_t kernels);
 
 }  // namespace pw::kernel

@@ -1,12 +1,7 @@
 #include "pw/kernel/multi_kernel.hpp"
 
-#include <chrono>
+#include <algorithm>
 #include <stdexcept>
-
-#include "pw/dataflow/threaded.hpp"
-#include "pw/kernel/fused.hpp"
-#include "pw/kernel/pipeline_graph.hpp"
-#include "pw/obs/metrics.hpp"
 
 namespace pw::kernel {
 
@@ -26,53 +21,6 @@ std::vector<XRange> partition_x(std::size_t nx, std::size_t kernels) {
     begin += width;
   }
   return ranges;
-}
-
-KernelRunStats run_multi_kernel(const grid::WindState& state,
-                                const advect::PwCoefficients& coefficients,
-                                advect::SourceTerms& out,
-                                const KernelConfig& config,
-                                std::size_t kernels) {
-  const auto ranges = partition_x(state.u.nx(), kernels);
-  std::vector<KernelRunStats> stats(ranges.size());
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  dataflow::ThreadedPipeline instances;
-  for (std::size_t p = 0; p < ranges.size(); ++p) {
-    instances.add_stage(
-        "kernel_" + std::to_string(p), [&, p] {
-          stats[p] = run_kernel_fused(state, coefficients, out, config,
-                                      ranges[p]);
-        });
-  }
-  instances.set_graph(describe_multi_kernel_launch(ranges.size()));
-  instances.run();
-
-  KernelRunStats total;
-  for (const auto& s : stats) {
-    total.values_streamed_per_field += s.values_streamed_per_field;
-    total.stencils_emitted += s.stencils_emitted;
-    total.chunks += s.chunks;
-  }
-  if (config.metrics != nullptr) {
-    // Per-instance counters were already accumulated by run_kernel_fused
-    // (the registry is thread-safe); add the aggregate view of this
-    // multi-compute-unit launch.
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
-    config.metrics->counter_add("multi_kernel.launches");
-    config.metrics->gauge_set("multi_kernel.instances",
-                              static_cast<double>(ranges.size()));
-    config.metrics->observe("multi_kernel.run_seconds", seconds);
-    if (seconds > 0.0) {
-      config.metrics->gauge_set(
-          "multi_kernel.stencils_per_s",
-          static_cast<double>(total.stencils_emitted) / seconds);
-    }
-  }
-  return total;
 }
 
 }  // namespace pw::kernel

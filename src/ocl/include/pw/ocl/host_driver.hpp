@@ -27,6 +27,8 @@ struct HostDriverConfig {
   std::size_t x_chunks = 8;
   bool overlapped = true;  ///< false: one write / one kernel / one read
   DeviceTiming timing;
+  /// Each chunk's kernel is one fused pw::stencil advection pass with this
+  /// chunk_y; its stencil.advect_pw.* counters go to kernel.metrics.
   kernel::KernelConfig kernel;
   /// Simulated kernel duration for a slab of the given dims (e.g. from
   /// fpga::model_kernel_only). Defaults to zero-time kernels.
@@ -54,7 +56,7 @@ struct HostDriverResult {
 };
 
 /// Runs a full advection pass through simulated device buffers. The
-/// results land in `out` and are bit-identical to the direct kernel run
+/// results land in `out` and are bit-identical to advect_reference
 /// (tested); the returned timeline carries the modelled schedule.
 HostDriverResult advect_via_host(const grid::WindState& state,
                                  const advect::PwCoefficients& coefficients,

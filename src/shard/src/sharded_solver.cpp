@@ -33,41 +33,6 @@ std::size_t device_of_site(const std::string& site) {
   }
 }
 
-/// Backend -> stencil engine, the same mapping the single-device facade
-/// applies (api/src/solver.cpp engine_for) so a sharded solve runs the
-/// identical engine per shard that the whole-grid solve would run once.
-stencil::EngineConfig engine_for(const api::SolverOptions& options) {
-  stencil::EngineConfig config;
-  config.chunk_y = options.kernel.chunk_y;
-  switch (options.backend.backend()) {
-    case api::Backend::kReference:
-      config.engine = stencil::Engine::kReference;
-      break;
-    case api::Backend::kCpuBaseline:
-      config.engine = stencil::Engine::kThreaded;
-      config.threads =
-          options.backend.get_if<api::CpuBaselineOptions>()->threads;
-      break;
-    case api::Backend::kFused:
-      config.engine = stencil::Engine::kFused;
-      break;
-    case api::Backend::kMultiKernel:
-      config.engine = stencil::Engine::kMultiInstance;
-      config.instances =
-          options.backend.get_if<api::MultiKernelOptions>()->kernels;
-      break;
-    case api::Backend::kHostOverlap:
-      config.engine = stencil::Engine::kChunkedHost;
-      config.x_chunks = options.backend.get_if<api::HostOptions>()->x_chunks;
-      break;
-    case api::Backend::kVectorized:
-      config.engine = stencil::Engine::kLaneBatched;
-      config.lanes = options.backend.get_if<api::VectorizedOptions>()->lanes;
-      break;
-  }
-  return config;
-}
-
 const stencil::StencilSpec& spec_for(api::Kernel kernel) {
   switch (kernel) {
     case api::Kernel::kAdvectPw:
@@ -310,7 +275,8 @@ api::SolveResult ShardedSolver::run_partition(
     sweeps = std::max<std::size_t>(1, poisson_options->iterations);
   }
 
-  const stencil::EngineConfig engine = engine_for(options);
+  // The engine the whole-grid solve would run once, run here per shard.
+  const stencil::EngineConfig engine = api::engine_config(options);
   util::WallTimer exchange_timer;
   double exchange_wall = 0.0;
 

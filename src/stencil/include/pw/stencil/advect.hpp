@@ -7,14 +7,13 @@
 
 namespace pw::stencil {
 
-/// The declared spec of the paper's PW advection kernel, re-expressed on
-/// the stencil template (also reachable via find_stencil("advect_pw")).
-/// The production advection backends keep their proven dedicated paths in
-/// src/kernel; this expression exists so the template demonstrably covers
-/// the original workload (the differential test holds run_advect to
-/// kernel::run_kernel_fused bit-for-bit) and so advection's lint graph,
-/// fault site and perf entry flow from the same registry as every other
-/// kernel.
+/// The declared spec of the paper's PW advection kernel on the stencil
+/// template (also reachable via find_stencil("advect_pw")). Every
+/// api::Solver advection backend except the scalar oracle runs it:
+/// cpu_baseline, fused, multi_kernel and vectorized as one run_advect on
+/// their engine, host_overlap as one fused run_advect per X chunk inside
+/// ocl::advect_via_host. Advection's lint graph, fault site and perf entry
+/// flow from the same registry as every other kernel.
 const StencilSpec& advect_spec();
 
 /// The advection per-cell op on the template: advect_cell read straight
@@ -37,7 +36,7 @@ struct AdvectOp {
 };
 
 /// One advection solve on the stencil machine. Bit-identical to
-/// advect_reference and kernel::run_kernel_fused on every engine.
+/// advect_reference on every engine.
 PassStats run_advect(const grid::WindState& state,
                      const advect::PwCoefficients& coefficients,
                      advect::SourceTerms& out, const EngineConfig& config);

@@ -117,11 +117,11 @@ class PassEngine {
 
   /// One sweep of `op` over the interior of `fields.out`. Consults the
   /// kernel's fault site (an armed hard fault throws fault::FaultError,
-  /// which the api layer reports as SolveError::kBackendFault) and records
-  /// the kernel's obs span and counters when config.metrics is set.
+  /// which the api layer reports as SolveError::kBackendFault); reports
+  /// nothing to obs (see observe).
   template <typename Op>
-  PassStats run(const StencilSpec& spec, const PassFields& fields,
-                const Op& op) const {
+  void run(const StencilSpec& spec, const PassFields& fields,
+           const Op& op) const {
     // A template output count keeps per-cell tests out of the inner loop.
     // noexcept: a slab may run on a pool worker while the caller's frame
     // holds `fields` and `op`, so an op that throws ends the process rather
@@ -136,8 +136,14 @@ class PassEngine {
           return run_slab<3>(fields, op, slab);
       }
     });
-    return stats_;
   }
+
+  /// Calls `sweep` (one run() each) `passes` times inside one obs span
+  /// named after the kernel's fault site, then adds the counters of all
+  /// passes at once when config.metrics is set, so an iterative solve
+  /// reports once rather than once per sweep. Returns the passes' stats.
+  PassStats observe(const StencilSpec& spec, std::size_t passes,
+                    const std::function<void()>& sweep) const;
 
  private:
   template <std::size_t Outputs, typename Op>
@@ -174,8 +180,8 @@ class PassEngine {
     }
   }
 
-  /// Fault check and span, `slab` over every X slab (the calling thread
-  /// takes the first, the pool if any the rest), counters.
+  /// Fault check, then `slab` over every X slab (the calling thread takes
+  /// the first, the pool if any the rest).
   void run_slabs(const StencilSpec& spec,
                  const std::function<void(kernel::XRange)>& slab) const;
 
@@ -197,7 +203,8 @@ PassStats run_pass(const StencilSpec& spec, const grid::WindState& in,
        spec.fields_in > 2 ? &in.w : nullptr},
       {&out.su, spec.fields_out > 1 ? &out.sv : nullptr,
        spec.fields_out > 2 ? &out.sw : nullptr}};
-  return PassEngine(config, in.u.dims()).run(spec, fields, op);
+  const PassEngine engine(config, in.u.dims());
+  return engine.observe(spec, 1, [&] { engine.run(spec, fields, op); });
 }
 
 }  // namespace pw::stencil

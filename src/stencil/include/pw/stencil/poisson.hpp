@@ -60,8 +60,9 @@ void poisson_reference(const grid::WindState& state,
 
 /// `iterations` Jacobi sweeps on the stencil machine under `config`; each
 /// sweep is one machine pass (with its own fault-site check) on one
-/// PassEngine. Zeroes out.su's halo (the Dirichlet rule). All engines are
-/// bit-identical to poisson_reference.
+/// PassEngine, and the solve reports one obs span and one counter update
+/// for all sweeps. Zeroes out.su's halo (the Dirichlet rule). All engines
+/// are bit-identical to poisson_reference.
 PassStats run_poisson(const grid::WindState& state,
                       const PoissonParams& params, advect::SourceTerms& out,
                       const EngineConfig& config);

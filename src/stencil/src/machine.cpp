@@ -85,13 +85,6 @@ void PassEngine::run_slabs(
   if (fault::armed() != nullptr) {
     fault::throw_if(fault_site(spec));
   }
-  obs::MetricsRegistry* metrics = config_.metrics;
-  const PassNames* names = metrics != nullptr ? &pass_names(spec) : nullptr;
-  std::optional<obs::Span> span;
-  if (metrics != nullptr) {
-    span.emplace(*metrics, names->site);
-  }
-
   const std::size_t local = pool_ ? 1 : slabs_.size();
   std::vector<std::future<void>> done;
   for (std::size_t s = local; s < slabs_.size(); ++s) {
@@ -103,15 +96,30 @@ void PassEngine::run_slabs(
   for (std::future<void>& f : done) {
     f.get();
   }
+}
 
+PassStats PassEngine::observe(const StencilSpec& spec, std::size_t passes,
+                              const std::function<void()>& sweep) const {
+  obs::MetricsRegistry* metrics = config_.metrics;
+  const PassNames* names = metrics != nullptr ? &pass_names(spec) : nullptr;
+  std::optional<obs::Span> span;
   if (metrics != nullptr) {
-    metrics->counter_add(names->passes);
-    metrics->counter_add(names->cells, stats_.cells);
-    if (stats_.values_streamed != 0) {  // the chunked engines
-      metrics->counter_add(names->values_streamed, stats_.values_streamed);
-      metrics->counter_add(names->stencils_emitted, stats_.stencils_emitted);
+    span.emplace(*metrics, names->site);
+  }
+  PassStats total;
+  for (std::size_t p = 0; p < passes; ++p) {
+    sweep();
+    total += stats_;
+  }
+  if (metrics != nullptr) {
+    metrics->counter_add(names->passes, passes);
+    metrics->counter_add(names->cells, total.cells);
+    if (total.values_streamed != 0) {  // the chunked engines
+      metrics->counter_add(names->values_streamed, total.values_streamed);
+      metrics->counter_add(names->stencils_emitted, total.stencils_emitted);
     }
   }
+  return total;
 }
 
 }  // namespace pw::stencil

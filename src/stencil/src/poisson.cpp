@@ -73,13 +73,11 @@ PassStats run_poisson(const grid::WindState& state,
 
   const PassEngine engine(config, dims);
   const PoissonOp op(params);
-  PassStats total;
-  for (std::size_t sweep = 0; sweep < iterations; ++sweep) {
-    total += engine.run(poisson_spec(),
-                        {{guess, &state.v, nullptr}, {next, nullptr, nullptr}},
-                        op);
+  const PassStats total = engine.observe(poisson_spec(), iterations, [&] {
+    engine.run(poisson_spec(),
+               {{guess, &state.v, nullptr}, {next, nullptr, nullptr}}, op);
     std::swap(guess, next);
-  }
+  });
   out.sv.fill(0.0);
   out.sw.fill(0.0);
   return total;

@@ -1,9 +1,9 @@
 // Differential conformance: every backend, run through the one unified
 // AdvectionSolver surface on identical randomized grids (shared seeds),
-// must agree with the serial reference — bit-exactly for the double
-// datapaths, within float32 tolerance for the vectorized backend — both
-// fault-free and when the answer arrives via the serve layer's failover
-// path (degraded results must be numerically correct, not merely present).
+// must agree with the serial reference bit-exactly (the vectorized backend
+// included: it batches lanes over f64 math) — both fault-free and when the
+// answer arrives via the serve layer's failover path (degraded results must
+// be numerically correct, not merely present).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -82,25 +82,14 @@ TEST(BackendDifferential, DoubleBackendsMatchReferenceBitExactly) {
   }
 }
 
-TEST(BackendDifferential, VectorizedMatchesReferenceWithinF32Tolerance) {
+TEST(BackendDifferential, VectorizedMatchesReferenceBitExactly) {
   for (const Case& c : cases()) {
     const api::SolveResult reference =
         solve_with(c, api::Backend::kReference);
     api::VectorizedOptions vec;
     vec.lanes = 8;
     const api::SolveResult result = solve_with(c, vec);
-    const grid::FieldD* refs[] = {&reference.terms->su, &reference.terms->sv,
-                                  &reference.terms->sw};
-    const grid::FieldD* got[] = {&result.terms->su, &result.terms->sv,
-                                 &result.terms->sw};
-    for (int f = 0; f < 3; ++f) {
-      const auto diff = grid::compare_interior(*refs[f], *got[f]);
-      // f32 round-off on O(1) source terms: absolute tolerance, since
-      // near-zero cells make max_rel meaningless.
-      EXPECT_LT(diff.max_abs, 1e-3)
-          << "seed " << c.seed << " field " << f
-          << " max_rel=" << diff.max_rel;
-    }
+    expect_bit_equal(*reference.terms, *result.terms, "vectorized");
   }
 }
 

@@ -1,10 +1,11 @@
-// Tests for the unified solver facade: every double-precision backend must
-// produce bit-identical source terms on a fixed grid, invalid options must
+// Tests for the unified solver facade: every backend must produce
+// bit-identical source terms on a fixed grid, invalid options must
 // come back as typed errors (not asserts), and every solve must carry a
 // metrics snapshot.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "pw/advect/coefficients.hpp"
 #include "pw/advect/flops.hpp"
@@ -12,6 +13,7 @@
 #include "pw/api/solver.hpp"
 #include "pw/grid/compare.hpp"
 #include "pw/grid/init.hpp"
+#include "pw/stencil/advect.hpp"
 
 namespace {
 
@@ -44,6 +46,17 @@ api::SolveResult run(const Fixture& f, api::Backend backend,
   return api::AdvectionSolver(options).solve(f.state, f.coefficients);
 }
 
+void expect_terms_bit_equal(const advect::SourceTerms& reference,
+                            const advect::SourceTerms& got,
+                            const std::string& label) {
+  EXPECT_TRUE(grid::compare_interior(reference.su, got.su).bit_equal())
+      << label << " su";
+  EXPECT_TRUE(grid::compare_interior(reference.sv, got.sv).bit_equal())
+      << label << " sv";
+  EXPECT_TRUE(grid::compare_interior(reference.sw, got.sw).bit_equal())
+      << label << " sw";
+}
+
 TEST(SolverApi, DoubleBackendsAreBitIdentical) {
   const Fixture f;
   const auto reference = run(f, api::Backend::kReference);
@@ -57,26 +70,68 @@ TEST(SolverApi, DoubleBackendsAreBitIdentical) {
     ASSERT_TRUE(result.ok())
         << api::to_string(backend) << ": " << result.message;
     ASSERT_TRUE(result.terms != nullptr) << api::to_string(backend);
-    EXPECT_TRUE(grid::compare_interior(reference.terms->su, result.terms->su)
-                    .bit_equal())
-        << api::to_string(backend) << " su";
-    EXPECT_TRUE(grid::compare_interior(reference.terms->sv, result.terms->sv)
-                    .bit_equal())
-        << api::to_string(backend) << " sv";
-    EXPECT_TRUE(grid::compare_interior(reference.terms->sw, result.terms->sw)
-                    .bit_equal())
-        << api::to_string(backend) << " sw";
+    expect_terms_bit_equal(*reference.terms, *result.terms,
+                           api::to_string(backend));
   }
 }
 
-TEST(SolverApi, VectorizedBackendAgreesToF32Tolerance) {
+TEST(SolverApi, VectorizedBackendIsBitExact) {
+  // The vectorized backend batches lanes over f64 math (the f32 datapath is
+  // the kernel::run_kernel_vectorized_f32 ablation), so it matches the
+  // oracle exactly.
   const Fixture f;
   const auto reference = run(f, api::Backend::kReference);
   const auto result = run(f, api::Backend::kVectorized);
   ASSERT_TRUE(result.ok()) << result.message;
-  const auto diff =
-      grid::compare_interior(reference.terms->su, result.terms->su);
-  EXPECT_LT(diff.max_abs, 1e-4);
+  expect_terms_bit_equal(*reference.terms, *result.terms, "vectorized");
+}
+
+TEST(SolverApi, EveryBackendIsBitExactOnUnevenCuts) {
+  // Cuts that do not divide the grid: fewer X planes than kernel instances
+  // and host chunks, a Y extent that is not a multiple of chunk_y, and a
+  // single level. Every backend must match advect_reference bit for bit,
+  // and so must run_advect on each backend's engine into output terms that
+  // start out as garbage.
+  for (const grid::GridDims dims :
+       {grid::GridDims{3, 7, 1}, grid::GridDims{5, 11, 3}}) {
+    grid::WindState state(dims);
+    grid::init_random(state, 17);
+    const auto coefficients = advect::PwCoefficients::from_geometry(
+        grid::Geometry::uniform(dims, 100.0, 80.0, 40.0));
+    const auto garbage_terms = [&] {
+      advect::SourceTerms terms(dims);
+      terms.su.fill(std::nan(""));
+      terms.sv.fill(-1e300);
+      terms.sw.fill(std::nan(""));
+      return terms;
+    };
+    advect::SourceTerms reference = garbage_terms();
+    advect::advect_reference(state, coefficients, reference);
+
+    for (const api::BackendSpec& backend :
+         {api::BackendSpec(api::Backend::kReference),
+          api::BackendSpec(api::CpuBaselineOptions{.threads = 4}),
+          api::BackendSpec(api::Backend::kFused),
+          api::BackendSpec(api::MultiKernelOptions{.kernels = 4}),
+          api::BackendSpec(api::HostOptions{}),
+          api::BackendSpec(api::VectorizedOptions{.lanes = 8})}) {
+      api::SolverOptions options;
+      options.backend = backend;
+      options.kernel.chunk_y = 4;
+      const std::string label = std::string(api::to_string(backend)) + " @ " +
+                                std::to_string(dims.nx) + "x" +
+                                std::to_string(dims.ny) + "x" +
+                                std::to_string(dims.nz);
+      const auto result = api::Solver(options).solve(state, coefficients);
+      ASSERT_TRUE(result.ok()) << label << ": " << result.message;
+      expect_terms_bit_equal(reference, *result.terms, label);
+
+      advect::SourceTerms direct = garbage_terms();
+      stencil::run_advect(state, coefficients, direct,
+                          api::engine_config(options));
+      expect_terms_bit_equal(reference, direct, label + " engine");
+    }
+  }
 }
 
 TEST(SolverApi, EverySolveCarriesAMetricsSnapshot) {
@@ -94,11 +149,21 @@ TEST(SolverApi, EverySolveCarriesAMetricsSnapshot) {
 }
 
 TEST(SolverApi, KernelBackendsReportKernelCounters) {
+  // Advection runs on the stencil machine, so its passes report under the
+  // spec-derived stencil.advect_pw.* names: one pass for the fused backend,
+  // one fused pass per X chunk for the host driver.
   const Fixture f;
-  const auto result = run(f, api::Backend::kFused);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GT(result.metrics.counters.at("kernel.stencils_emitted"), 0u);
-  EXPECT_EQ(result.metrics.counters.at("kernel.runs"), 1u);
+  const auto fused = run(f, api::Backend::kFused);
+  ASSERT_TRUE(fused.ok());
+  EXPECT_EQ(fused.metrics.counters.at("stencil.advect_pw.passes"), 1u);
+  EXPECT_EQ(fused.metrics.counters.at("stencil.advect_pw.stencils_emitted"),
+            f.dims.cells());
+
+  const auto host = run(f, api::Backend::kHostOverlap);
+  ASSERT_TRUE(host.ok());
+  EXPECT_EQ(host.metrics.counters.at("stencil.advect_pw.passes"), 4u);
+  EXPECT_EQ(host.metrics.counters.at("stencil.advect_pw.stencils_emitted"),
+            f.dims.cells());
 }
 
 TEST(SolverApi, HostOverlapReportsChunkSpansAndBytes) {
